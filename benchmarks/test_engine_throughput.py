@@ -1,11 +1,9 @@
-"""Raw DES-kernel throughput: events/sec, pooled vs unpooled vs seed.
+"""Raw DES-kernel throughput: events/sec, current vs seed kernel.
 
-The kernel fast path makes three claims this benchmark pins down:
+The kernel fast path makes two claims this benchmark pins down:
 
 * the handle-free ``post`` path beats the seed kernel's per-event
   allocating ``call_in`` loop on a pure timer chain;
-* handle pooling never *loses* to fresh allocation (the refcount guard
-  makes recycling safe, so it must also be at least cost-neutral);
 * tombstone compaction bounds the heap under a cancel-heavy watchdog
   load where the seed kernel accumulates every tombstone.
 
@@ -31,16 +29,6 @@ def test_post_chain_beats_seed_kernel(once, emit):
          f"post {post_eps:,.0f} ev/s ({post_eps / seed_eps:.2f}x)")
     # the fast path exists to be faster; allow jitter headroom on slow CI
     assert post_eps > seed_eps * 1.05
-
-
-def test_pooled_handles_do_not_lose_to_unpooled(once, emit):
-    unpooled = _chain_eps(lambda: Simulator(pooling=False), events=60_000)
-    pooled = _chain_eps(lambda: Simulator(pooling=True), events=60_000)
-    once(_chain_eps, lambda: Simulator(pooling=True), events=60_000)
-    emit(f"call_in chain: unpooled {unpooled:,.0f} ev/s, "
-         f"pooled {pooled:,.0f} ev/s ({pooled / unpooled:.2f}x)")
-    # cost-neutral-or-better, with a wide noise band
-    assert pooled > unpooled * 0.7
 
 
 def test_cancel_heavy_compaction_bounds_heap(once, emit):

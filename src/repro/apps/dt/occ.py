@@ -18,6 +18,7 @@ under unit tests and over iPipe actors.
 from __future__ import annotations
 
 import itertools
+import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
@@ -59,7 +60,7 @@ class _TxnState:
     writes: Dict[str, bytes]
     on_done: Callable[[bool, Dict[str, Optional[bytes]]], None]
     phase: int = 1
-    participants: Set[str] = field(default_factory=set)
+    participants: List[str] = field(default_factory=list)
     pending: Set[str] = field(default_factory=set)
     values: Dict[str, Optional[bytes]] = field(default_factory=dict)
     versions: Dict[str, int] = field(default_factory=dict)
@@ -84,8 +85,11 @@ class TxnCoordinator:
         self.participants = list(participants)
         self.send = send
         self.log_append = log_append
+        # crc32, not hash(): str hashing is salted per process, and the
+        # partition map must not depend on PYTHONHASHSEED
         self.owner_of = owner_of or (
-            lambda key: self.participants[hash(key) % len(self.participants)])
+            lambda key: self.participants[
+                zlib.crc32(key.encode()) % len(self.participants)])
         self._txns: Dict[int, _TxnState] = {}
         self.committed = 0
         self.aborted = 0
@@ -109,7 +113,7 @@ class TxnCoordinator:
             node = self.owner_of(key)
             by_node.setdefault(node, TxnMessage(
                 "read_lock", txn_id, self.name)).writes[key] = value
-        state.participants = set(by_node)
+        state.participants = list(by_node)
         state.pending = set(by_node)
         if not by_node:
             # empty transaction: nothing to read or lock — commit point is

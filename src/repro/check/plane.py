@@ -77,10 +77,10 @@ class CheckPlane:
 
     def uninstall(self) -> None:
         """Detach from the simulator (recorded violations are kept)."""
-        if getattr(self.sim, "checker", None) is self:
+        if self.sim.checker is self:
             self.sim.checker = None
 
-    # -- engine hook (called by Simulator.run/step) -----------------------
+    # -- engine hook (called by Simulator.run) ----------------------------
     def on_schedule(self, when: float, seq: int, fn) -> None:
         rec = self.recorder
         if rec is not None:
@@ -180,7 +180,7 @@ class CheckPlane:
     def report(self, monitor, message: str, component: str = "") -> None:
         """Record one violation (and raise it when strict)."""
         trace_ctx = None
-        tracer = getattr(self.sim, "tracer", None)
+        tracer = self.sim.tracer
         if tracer is not None:
             open_spans = tracer.open_spans
             if open_spans:
@@ -198,7 +198,7 @@ class CheckPlane:
                            trace=trace_ctx, node=violation.component,
                            track="check", monitor=monitor.name,
                            message=message)
-        metrics = getattr(self.sim, "metrics", None)
+        metrics = self.sim.metrics
         if metrics is not None:
             metrics.counter("check.violations").inc(self.sim.now)
         if self.strict:

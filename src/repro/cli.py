@@ -12,6 +12,7 @@ Usage::
     python -m repro sweep fig16 --jobs 4 --quick
     python -m repro bench --out BENCH_sweep.json
     python -m repro check --replay 2 fig16 --quick
+    python -m repro check --goldens
     python -m repro lint
     python -m repro scenario list
     python -m repro scenario validate
@@ -569,6 +570,56 @@ def _check_run_fn(target: str, quick: bool, seed: int | None):
     return lambda: chaos_point(workload, **kwargs)
 
 
+#: The committed golden registry: one CRC-32 per ``repro check`` target.
+GOLDENS_PATH = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__)))), "tests", "goldens.json")
+
+
+def _golden_digests() -> Dict[str, str]:
+    """CRC-32 of ``repr()`` of every check target's ``--quick`` result,
+    run with the target's default seed."""
+    import zlib
+    out = {}
+    for target in CHECK_TARGETS:
+        result = _check_run_fn(target, True, None)()
+        out[target] = f"{zlib.crc32(repr(result).encode()):08x}"
+    return out
+
+
+def _python_minor() -> str:
+    return "{}.{}".format(*sys.version_info[:2])
+
+
+def _check_goldens(path: str, update: bool) -> int:
+    """Verify (or with ``update`` rewrite) the golden registry."""
+    import json
+    if update:
+        goldens = {"python": _python_minor(), "targets": _golden_digests()}
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(goldens, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        print(f"goldens: wrote {len(CHECK_TARGETS)} targets to {path} "
+              f"(Python {_python_minor()})")
+        return 0
+    with open(path, encoding="utf-8") as fh:
+        goldens = json.load(fh)
+    if goldens["python"] != _python_minor():
+        # float results may differ between interpreter versions
+        print(f"goldens: SKIPPED, recorded under Python {goldens['python']}, "
+              f"running {_python_minor()}")
+        return 0
+    want = goldens["targets"]
+    got = _golden_digests()
+    names = sorted(set(want) | set(got))
+    bad = [t for t in names if want.get(t) != got.get(t)]
+    for target in bad:
+        print(f"  {target}: golden {want.get(target)} got {got.get(target)}")
+    print(f"goldens: {len(names) - len(bad)}/{len(names)} targets match "
+          f"{path}")
+    return 1 if bad else 0
+
+
 def _cmd_check(argv) -> int:
     """``repro check``: N-replay determinism sanitizer over one target."""
     from .check import replay_check
@@ -580,8 +631,16 @@ def _cmd_check(argv) -> int:
                     "and name the offending callback. Exit code 0: all "
                     "replays bit-identical and no nondeterminism hazard "
                     "observed; exit code 1 otherwise.")
-    parser.add_argument("target", choices=CHECK_TARGETS,
+    parser.add_argument("target", choices=CHECK_TARGETS, nargs="?",
                         help="which experiment to replay")
+    parser.add_argument("--goldens", nargs="?", const=GOLDENS_PATH,
+                        default=None, metavar="PATH",
+                        help="instead of replaying one target, compare "
+                             "every target's --quick result CRC against "
+                             "the golden registry (default "
+                             "tests/goldens.json); exit 1 on a mismatch")
+    parser.add_argument("--update", action="store_true",
+                        help="with --goldens: rewrite the registry")
     parser.add_argument("--replay", type=int, default=2, metavar="N",
                         help="replays to compare (minimum 2; default 2)")
     parser.add_argument("--seed", type=int, default=None,
@@ -593,6 +652,12 @@ def _cmd_check(argv) -> int:
                              "during each replay (violations fail the "
                              "check)")
     args = parser.parse_args(argv)
+    if args.goldens is not None:
+        return _check_goldens(args.goldens, args.update)
+    if args.update:
+        parser.error("--update needs --goldens")
+    if args.target is None:
+        parser.error("a target is required without --goldens")
     if args.replay < 2:
         parser.error("--replay must be at least 2")
     run_fn = _check_run_fn(args.target, args.quick, args.seed)

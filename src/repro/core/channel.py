@@ -115,7 +115,7 @@ class Ring:
             visible_at = max(visible_at, self._buffer[-1][2])
         self._buffer.append((msg, checksum, visible_at))
         self.produced += 1
-        if getattr(self.sim, "tracer", None) is not None:
+        if self.sim.tracer is not None:
             # remembered for the crossing span recorded at poll time
             msg.meta["ring_t0"] = self.sim.now
         # anchor virtual time so run-to-idle passes the visibility point
@@ -157,7 +157,7 @@ class Ring:
         self._buffer.popleft()
         self.consumed += 1
         self._note_consumed()
-        tracer = getattr(self.sim, "tracer", None)
+        tracer = self.sim.tracer
         if checksum != message_checksum(msg):
             self.checksum_failures += 1
             self.nacks += 1
@@ -326,7 +326,7 @@ class ReliableChannel:
 
     def _nacked(self, direction: str, msg: Message) -> None:
         self.retransmits += 1
-        tracer = getattr(self.sim, "tracer", None)
+        tracer = self.sim.tracer
         if tracer is not None:
             tracer.instant("retransmit", "channel.retx",
                            trace=msg.meta.get("trace"),
@@ -378,7 +378,7 @@ class ReliableChannel:
         if first_fail is not None:
             self.recovered += 1
             self.mttr_samples.append(self.sim.now - first_fail)
-            tracer = getattr(self.sim, "tracer", None)
+            tracer = self.sim.tracer
             if tracer is not None:
                 # the recovery interval: first failed delivery attempt
                 # until in-order release to the consumer (channel MTTR)
@@ -388,7 +388,7 @@ class ReliableChannel:
                     track=ring.name, key=msg.meta.get("rel_key"),
                     seq=msg.meta.get("rel_seq"),
                     attempts=msg.meta.get("rel_attempts", 0))
-            metrics = getattr(self.sim, "metrics", None)
+            metrics = self.sim.metrics
             if metrics is not None:
                 metrics.histogram("channel.mttr_us").record(
                     self.sim.now, self.sim.now - first_fail)

@@ -68,7 +68,7 @@ class Migrator:
     def _trace_report(self, report: MigrationReport) -> None:
         """Emit one parent span per migration with the four phases as
         strictly-contained children (the phases tile the parent)."""
-        tracer = getattr(self.runtime.sim, "tracer", None)
+        tracer = self.runtime.sim.tracer
         if tracer is None or not report.phase_us:
             return
         node = getattr(self.runtime, "node_name", "")
@@ -259,7 +259,7 @@ class CrossRackTicket:
 
 def _trace_xrack(sim: Simulator, node: str, report: MigrationReport) -> None:
     """Parent migration span + phase children, on the source's mgmt track."""
-    tracer = getattr(sim, "tracer", None)
+    tracer = sim.tracer
     if tracer is None or not report.phase_us:
         return
     end = sim.now

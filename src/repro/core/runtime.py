@@ -90,7 +90,7 @@ class ExecutionContext:
         work runs in software at the Table-3 penalty (MD5 7x, AES 2.5x,
         default 3x for engines the paper doesn't compare).
         """
-        tracer = getattr(self.sim, "tracer", None)
+        tracer = self.sim.tracer
         span = None
         if tracer is not None:
             span = tracer.start_span(
@@ -302,7 +302,7 @@ class IPipeRuntime:
             fault_plane.wire_runtime(self)
         # A CheckPlane installed on this sim (repro.check) picks up any
         # runtime built afterwards and registers its invariant monitors.
-        checker = getattr(sim, "checker", None)
+        checker = sim.checker
         if checker is not None and hasattr(checker, "wire_runtime"):
             checker.wire_runtime(self)
 
@@ -509,7 +509,7 @@ class IPipeRuntime:
                       size=packet.size, source=packet.src,
                       created_at=packet.created_at, packet=packet)
         msg.meta["nic_arrival"] = self.sim.now
-        tracer = getattr(self.sim, "tracer", None)
+        tracer = self.sim.tracer
         if tracer is not None:
             # the trace starts here (or continues one begun on a remote
             # node); every downstream stage joins via msg.meta["trace"]
@@ -567,7 +567,7 @@ class IPipeRuntime:
                       size=packet.size, source=packet.src,
                       created_at=packet.created_at, packet=packet)
         msg.meta["nic_arrival"] = self.sim.now
-        tracer = getattr(self.sim, "tracer", None)
+        tracer = self.sim.tracer
         if tracer is not None:
             span = tracer.instant(
                 f"rx:{packet.kind}", "ingress",
@@ -809,7 +809,7 @@ class IPipeRuntime:
             if not actor.try_lock(1000 + worker_id):
                 actor.mailbox.append(msg)
                 continue
-            tracer = getattr(self.sim, "tracer", None)
+            tracer = self.sim.tracer
             span = None
             if tracer is not None:
                 span = tracer.start_span(
@@ -846,7 +846,7 @@ class IPipeRuntime:
                 self.sim.now - msg.meta.get("nic_arrival", msg.created_at),
                 msg.size, service_us=busy)
             self.host_ops += 1
-            metrics = getattr(self.sim, "metrics", None)
+            metrics = self.sim.metrics
             if metrics is not None:
                 metrics.histogram("host.service_us").record(self.sim.now, busy)
                 metrics.counter("host.ops").inc(self.sim.now)

@@ -365,7 +365,7 @@ class NicScheduler:
             self._account(core_id, "fcfs", self.sim.now - start)
             self.fcfs_tracker.record(self.sim.now - item.arrived_at)
             self.forwards_completed += 1
-            tracer = getattr(self.sim, "tracer", None)
+            tracer = self.sim.tracer
             if tracer is not None:
                 tracer.record_span(
                     "forward", "forward", item.arrived_at, self.sim.now,
@@ -487,7 +487,7 @@ class NicScheduler:
             # exec_lock held elsewhere: requeue behind current work
             actor.mailbox.append(msg)
             return
-        tracer = getattr(self.sim, "tracer", None)
+        tracer = self.sim.tracer
         span = None
         if tracer is not None:
             tctx = msg.meta.get("trace")
@@ -540,7 +540,7 @@ class NicScheduler:
         tracker = self.fcfs_tracker if core_mode == "fcfs" else self.drr_tracker
         tracker.record(wait)
         self.ops_completed += 1
-        metrics = getattr(self.sim, "metrics", None)
+        metrics = self.sim.metrics
         if metrics is not None:
             now = self.sim.now
             metrics.histogram("sched.wait_us").record(now, wait)

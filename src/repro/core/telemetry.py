@@ -139,7 +139,7 @@ def snapshot(runtime, window_us: float = None) -> RuntimeSnapshot:
     sched = runtime.nic_scheduler
     chan = runtime.channel
     rchannel = runtime.rchannel
-    registry = getattr(sim, "metrics", None)
+    registry = sim.metrics
 
     actors = []
     for actor in runtime.actors:

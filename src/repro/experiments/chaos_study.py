@@ -137,7 +137,7 @@ class ChaosClient:
         # feed the PulsePlane's per-service SLO histograms: replies copy
         # request metadata, so steered traffic carries its service name
         service = pkt.meta.get("steer_service")
-        metrics = getattr(self.sim, "metrics", None)
+        metrics = self.sim.metrics
         if service is not None and metrics is not None:
             metrics.observe(f"svc.{service}.latency_us", latency,
                             now=self.sim.now)

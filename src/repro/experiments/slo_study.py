@@ -100,7 +100,7 @@ def run_slo_chaos(seed: int = 42, duration_us: float = 40_000.0,
     spec = slo_spec(seed=seed, duration_us=duration_us,
                     threshold_us=threshold_us, trace=trace)
     sim = Simulator()
-    if getattr(sim, "checker", None) is None:
+    if sim.checker is None:
         # outside a SanitizerSession: attach our own (non-strict, so the
         # report carries violations instead of aborting mid-run)
         CheckPlane(sim, strict=False)
@@ -144,7 +144,7 @@ def run_slo_chaos(seed: int = 42, duration_us: float = 40_000.0,
     spawn(bed.sim, aggressor_driver(), name="slo-aggressor")
     _run_until_answered(bed, victim, duration_us)
 
-    checker = getattr(bed.sim, "checker", None)
+    checker = bed.sim.checker
     pulse_violations = [v for v in checker.violations
                         if v.monitor == "pulse"] if checker else []
     evaluator = pulse._evaluators[0]

@@ -115,7 +115,7 @@ def run_rebalance_chaos(seed: int = 42, duration_us: float = 40_000.0,
     spec = rebalance_spec(seed=seed, duration_us=duration_us,
                           notice_us=notice_us, trace=trace)
     sim = Simulator()
-    if getattr(sim, "checker", None) is None:
+    if sim.checker is None:
         # outside a SanitizerSession: attach our own (non-strict, so the
         # report carries violations instead of aborting mid-run)
         CheckPlane(sim, strict=False)
@@ -146,7 +146,7 @@ def run_rebalance_chaos(seed: int = 42, duration_us: float = 40_000.0,
     _run_until_answered(bed, client, duration_us)
 
     injected, schedule, recovery = _collect(bed, plane)
-    checker = getattr(bed.sim, "checker", None)
+    checker = bed.sim.checker
     steer_violations = [v for v in checker.violations
                         if v.monitor == "steering"] if checker else []
     runtimes = [srv.runtime for _, srv in sorted(bed.servers.items())]

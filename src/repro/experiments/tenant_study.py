@@ -154,7 +154,7 @@ def run_tenant_chaos(isolation: bool, aggressor: bool = True,
     spec = tenant_spec(isolation, seed=seed, duration_us=duration_us,
                        loss=loss, alive_cores=alive_cores, trace=trace)
     sim = Simulator()
-    if getattr(sim, "checker", None) is None:
+    if sim.checker is None:
         # outside a SanitizerSession: attach our own (non-strict, so the
         # report carries violations instead of aborting mid-run)
         CheckPlane(sim, strict=False)
@@ -208,7 +208,7 @@ def run_tenant_chaos(isolation: bool, aggressor: bool = True,
     _run_until_answered(bed, victim, duration_us)
 
     injected, schedule, recovery = _collect(bed, plane)
-    checker = getattr(bed.sim, "checker", None)
+    checker = bed.sim.checker
     tenancy_violations = [v for v in checker.violations
                           if v.monitor == "tenancy"] if checker else []
     runtime = bed.servers["s0"].runtime

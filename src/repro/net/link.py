@@ -63,7 +63,7 @@ class Link:
         fate = None
         if self.fault_plane is not None:
             fate = self.fault_plane.frame_fate(self.name, packet)
-        tracer = getattr(self.sim, "tracer", None)
+        tracer = self.sim.tracer
         if tracer is not None:
             # wire occupancy: queueing behind the previous frame is
             # visible as start > sim.now in the exported trace

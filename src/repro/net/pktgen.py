@@ -38,8 +38,7 @@ class OpenLoopGenerator:
                  rate_mpps: float, size: int,
                  payload_factory: Optional[PayloadFactory] = None,
                  rng: Optional[Rng] = None, poisson: bool = True,
-                 flow_count: int = 16, batch: int = 64,
-                 lattice_us: float = 0.0):
+                 flow_count: int = 16, batch: int = 64):
         if rate_mpps <= 0:
             raise ValueError("rate must be positive")
         self.sim = sim
@@ -53,32 +52,13 @@ class OpenLoopGenerator:
         self.poisson = poisson
         self.flow_count = flow_count
         self.batch = max(1, batch)
-        #: arrival batching: with ``lattice_us > 0`` all arrivals of each
-        #: lattice window are drawn and scheduled at once via absolute
-        #: ``post_at`` — one bookkeeping event per window instead of one
-        #: re-arm per packet.  Emission timestamps are bit-identical to
-        #: the per-packet chain (both accumulate t += gap in the same
-        #: float order) and the Rng draw order is unchanged; only event
-        #: *sequence numbers* shift, so exact-timestamp ties against
-        #: other event sources may break differently — which is why this
-        #: is opt-in per fleet (FleetSpec.lattice_us).
-        self.lattice_us = lattice_us
         self.sent = 0
         self._stop = False
         self._gaps: list = []        # prefetched gaps, reversed for pop()
-        if lattice_us > 0:
-            self._next_at = sim.now + self._next_gap()
-            self._arm_window()
-        else:
-            self._arm()
+        self._arm()
 
     def stop(self) -> None:
         self._stop = True
-
-    def _next_gap(self) -> float:
-        if self.poisson:
-            return self.rng.poisson_interarrival(self.rate_per_us)
-        return 1.0 / self.rate_per_us
 
     def _refill(self) -> None:
         if self.poisson:
@@ -94,34 +74,6 @@ class OpenLoopGenerator:
         if not self._gaps:
             self._refill()
         self.sim.post(self._gaps.pop(), self._emit)
-
-    def _arm_window(self) -> None:
-        """Schedule every arrival of the next lattice window at once."""
-        if self._stop:
-            return
-        end = self.sim.now + self.lattice_us
-        t = self._next_at
-        post_at = self.sim.post_at
-        emit = self._emit_batched
-        next_gap = self._next_gap
-        while t < end:
-            post_at(t, emit)
-            t = t + next_gap()
-        self._next_at = t
-        post_at(end, self._arm_window)
-
-    def _emit_batched(self) -> None:
-        if self._stop:
-            return
-        payload = (self.payload_factory(self.sent)
-                   if self.payload_factory else None)
-        packet = Packet(
-            src=self.src, dst=self.dst, size=self.size,
-            flow_id=self.sent % self.flow_count,
-            payload=payload, created_at=self.sim.now,
-        )
-        self.send(packet)
-        self.sent += 1
 
     def _emit(self) -> None:
         if self._stop:

@@ -314,7 +314,7 @@ class SteeringController:
         state.epoch += 1
         self.epoch_changes += 1
         state.snapshots[state.epoch] = tuple(state.table.lookup_table)
-        tracer = getattr(self.sim, "tracer", None)
+        tracer = self.sim.tracer
         if tracer is not None:
             tracer.instant(f"steer:repoint:{service}", "steering",
                            track="mgmt", old=old, new=new,
@@ -478,7 +478,7 @@ class Rebalancer:
             self._hot_streak[home] = 0
             self._last_load_move = now
             self.load_moves += 1
-            tracer = getattr(self.sim, "tracer", None)
+            tracer = self.sim.tracer
             if tracer is not None:
                 tracer.instant(f"rebalance:load:{home}", "steering",
                                track="mgmt", src=src, dst=dst,

@@ -199,8 +199,8 @@ class MetricsRegistry:
     """Named metric directory shared by the runtime and harnesses.
 
     Installed on the simulator as ``sim.metrics`` by
-    :class:`~repro.obs.plane.TracePlane`; instrumentation sites look it
-    up with ``getattr(sim, "metrics", None)`` so an uninstrumented run
+    :class:`~repro.obs.plane.TracePlane`; instrumentation sites read
+    ``sim.metrics`` (None until installed) so an uninstrumented run
     pays nothing.
     """
 

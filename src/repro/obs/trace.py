@@ -24,9 +24,11 @@ Parenthood is only asserted where true interval containment holds (child
 ``trace_id`` plus virtual-time ordering.
 
 The tracer is installed on the simulator (``sim.tracer``) by
-:class:`~repro.obs.plane.TracePlane`; instrumentation sites use::
+:class:`~repro.obs.plane.TracePlane`.  Every
+:class:`~repro.sim.Simulator` sets the attribute to None, so
+instrumentation sites read it directly::
 
-    tracer = getattr(self.sim, "tracer", None)
+    tracer = self.sim.tracer
     if tracer is not None:
         ...
 

@@ -100,13 +100,11 @@ class ClientPort:
 
     def open_loop(self, dst: str, rate_mpps: float, size: int,
                   payload_factory=None, rng: Optional[Rng] = None,
-                  poisson: bool = True,
-                  lattice_us: float = 0.0) -> OpenLoopGenerator:
+                  poisson: bool = True) -> OpenLoopGenerator:
         return OpenLoopGenerator(
             self.sim, send=self.network.send,
             src=self.name, dst=dst, rate_mpps=rate_mpps, size=size,
-            payload_factory=payload_factory, rng=rng, poisson=poisson,
-            lattice_us=lattice_us)
+            payload_factory=payload_factory, rng=rng, poisson=poisson)
 
 
 class BuiltApp:
@@ -396,7 +394,7 @@ def _apply_tenancy(scenario: Scenario) -> None:
             runtime.set_tenancy(nic_shares=nic_shares or None,
                                 accel_shares=accel_shares or None,
                                 dmo_budgets=budgets or None)
-    checker = getattr(scenario.sim, "checker", None)
+    checker = scenario.sim.checker
     if checker is not None and hasattr(checker, "watch_tenancy"):
         for name in sorted(scenario.servers):
             runtime = scenario.servers[name].runtime
@@ -441,7 +439,7 @@ def _apply_placement_pins(scenario: Scenario) -> None:
             actor.location = target
             if hasattr(runtime, "update_steering"):
                 runtime.update_steering(actor)
-    checker = getattr(scenario.sim, "checker", None)
+    checker = scenario.sim.checker
     if checker is not None and hasattr(checker, "watch_plan"):
         for server in sorted(by_server):
             checker.watch_plan(server, scenario.servers[server].runtime,
@@ -498,8 +496,7 @@ def _build_fleet(scenario: Scenario, fleet: FleetSpec) -> None:
             gen = port.open_loop(
                 dst=dst, rate_mpps=fleet.rate_mpps / len(targets),
                 size=fleet.size, payload_factory=factory,
-                rng=Rng(seed), poisson=fleet.poisson,
-                lattice_us=fleet.lattice_us)
+                rng=Rng(seed), poisson=fleet.poisson)
         scenario.generators.append(gen)
 
 
@@ -633,7 +630,7 @@ def _build_steering(scenario: Scenario) -> None:
         if hasattr(runtime, "_steer_seen"):
             runtime.steer_note = (
                 lambda pkt, _c=controller, _n=name: _c.note_delivery(_n, pkt))
-    checker = getattr(scenario.sim, "checker", None)
+    checker = scenario.sim.checker
     if checker is not None and hasattr(checker, "watch_steering"):
         checker.watch_steering(controller)
 
@@ -707,7 +704,7 @@ def _build_pulse(scenario: Scenario) -> None:
         _build_tenant_pulse(scenario, pulse)
     if scenario.rebalancer is not None and scenario.rebalancer.policy.on_load:
         LoadFeed(pulse, scenario.rebalancer)
-    checker = getattr(scenario.sim, "checker", None)
+    checker = scenario.sim.checker
     if checker is not None and hasattr(checker, "watch_pulse"):
         checker.watch_pulse(pulse)
 

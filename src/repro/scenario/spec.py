@@ -196,11 +196,6 @@ class FleetSpec:
     think_time_us: float = 0.0
     poisson: bool = True
     connections: int = 0
-    #: open-loop arrival batching: draw and schedule all arrivals of a
-    #: ``lattice_us``-wide window at once (absolute-time accumulation,
-    #: same Rng draw order, bit-identical emission timestamps) instead
-    #: of one re-arm event per packet.  0 disables batching.
-    lattice_us: float = 0.0
     tenant: str = ""                   # owning tenant ("" = implicit)
 
 
@@ -687,10 +682,6 @@ class ScenarioSpec:
                             f"(have {FAULT_STREAM_MODES})")
         if ex.lookahead_us is not None and ex.lookahead_us <= 0:
             problems.append("execution: lookahead_us must be positive")
-        for fleet in self.fleets:
-            if fleet.lattice_us < 0:
-                problems.append(f"fleet {fleet.client}: lattice_us must "
-                                f"be >= 0")
         if ex.shards == "by-rack":
             # the shard executor proves bit-identity against the serial
             # run; planes that share mutable state across racks (or

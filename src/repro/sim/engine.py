@@ -1,220 +1,48 @@
 """Discrete-event simulation engine.
 
-The engine maintains virtual time in microseconds and a binary heap of
+The engine keeps virtual time in microseconds and one binary heap of
 pending events.  Everything in the reproduction — NIC cores, DMA engines,
 links, host threads — is either a scheduled callback or a generator-based
 :class:`~repro.sim.process.Process` driven by this engine.
 
-The kernel is deliberately small: a time source, an event queue, and a
-run loop.  Determinism is guaranteed by breaking ties on (time, sequence
-number), so two runs with the same seeds produce identical traces.
+The kernel is a time source, a heap, and one run loop.  Ties break on
+(time, sequence number), so two runs with the same seeds produce
+identical traces.
 
-Fast path
----------
+Heap entries come in two shapes that share one sequence counter, so
+mixing the two scheduling APIs keeps the global (time, seq) order:
 
-Five optimisations keep the kernel out of the profile at sweep scale
-(see ``docs/PERFORMANCE.md``):
+* ``(when, seq, fn, args)`` from :meth:`Simulator.post` /
+  :meth:`Simulator.post_at` — no :class:`EventHandle` at all, the right
+  call for the many events (process resumes, timeouts, packet
+  deliveries) that are never cancelled;
+* ``(when, seq, handle)`` from :meth:`Simulator.call_at` /
+  :meth:`Simulator.call_in` — the handle can be cancelled.  A cancelled
+  handle stays in the heap as a *tombstone* and is skipped when popped;
+  once tombstones outnumber live entries the heap is compacted in place.
 
-* :meth:`Simulator.post` / :meth:`Simulator.post_at` schedule a bare
-  ``(when, seq, fn, args)`` heap entry with no :class:`EventHandle` at
-  all — the right call for the vast majority of events (process resumes,
-  timeouts, packet deliveries) that are never cancelled and whose handle
-  the caller would discard;
-* ``pending()`` reads a live-event counter maintained on push/fire/cancel
-  instead of scanning the heap (the seed kernel was O(n) per call);
-* cancelled events stay in the queue as *tombstones* (lazy cancel) but
-  the queue is compacted in place once more than half of it is dead,
-  bounding memory in cancellation-heavy workloads (watchdogs, closed-loop
-  timeouts);
-* fired :class:`EventHandle` objects can be recycled through a free list
-  when — and only when — the run loop holds the sole remaining reference
-  (checked via ``sys.getrefcount``).  Pooling is **off by default**:
-  on chain-shaped workloads the refcount guard plus pool bookkeeping
-  costs more than CPython's own allocator (BENCH_sweep.json measured
-  0.90M ev/s pooled vs 1.35M unpooled on the ``call_in`` chain), so the
-  pool is now opt-in for handle-churn shapes where it measures faster;
-* once more than :data:`_WHEEL_THRESHOLD` events are live, the binary
-  heap is upgraded in place to a two-level **calendar wheel**
-  (:class:`_EventWheel`): O(1) amortised insert into time buckets
-  instead of an O(log n) sift, with the active bucket sorted lazily.
-  The upgrade is one-way, automatic (``queue="auto"``), and provably
-  order-preserving — pop order is exactly the global (when, seq) order,
-  so digests and fingerprints are unchanged.  Sparse horizons never
-  reach the threshold and stay on the heap (``queue="heap"`` pins the
-  heap for benchmarking).
-
-Raw ``post`` entries and handle entries share one queue and one sequence
-counter, so interleaving the two APIs preserves the global (time, seq)
-tie-break order exactly.
+``pending()`` reads a live-event counter kept on push, fire and cancel,
+so it is O(1).  ``docs/PERFORMANCE.md`` records the measurements behind
+these choices and behind the mechanisms that were removed.
 """
 
 from __future__ import annotations
 
 import heapq
-import sys
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 #: Virtual time is expressed in microseconds throughout the code base.
 MICROSECOND = 1.0
 MILLISECOND = 1_000.0
 SECOND = 1_000_000.0
 
-#: Compaction triggers once the queue holds at least this many tombstones
+#: Compaction triggers once the heap holds at least this many tombstones
 #: *and* they outnumber the live entries (dead fraction > 50%).
 _COMPACT_MIN_DEAD = 64
-
-#: Upper bound on the handle free list; beyond this, fired handles are
-#: simply released to the garbage collector.
-_POOL_CAP = 4096
-
-#: In ``queue="auto"`` mode the heap upgrades to the calendar wheel once
-#: this many events are live.  Below the threshold the heap's O(log n)
-#: sift is cheap and the wheel's bucket bookkeeping is pure overhead;
-#: above it (dense fleet/fabric scenarios) bucketed insert wins.
-_WHEEL_THRESHOLD = 4096
-
-#: Bucket sizing target at upgrade time: width is chosen so a bucket
-#: holds roughly this many entries of the converted snapshot.
-_WHEEL_PER_BUCKET = 16.0
 
 
 class SimulationError(RuntimeError):
     """Raised for illegal interactions with the simulation kernel."""
-
-
-class _EventWheel:
-    """Two-level calendar queue for dense event horizons.
-
-    Entries are the engine's raw heap tuples — ``(when, seq, fn, args)``
-    or ``(when, seq, handle)`` — filed into dict buckets keyed by
-    ``int(when / width)``.  Bucket keys live in a small heap; the active
-    (earliest) bucket is sorted lazily on activation and consumed
-    through an index pointer, and entries that land *in* the active
-    bucket go to a side heap consulted on every peek/pop.
-
-    Because ``int(when / width)`` is monotonic in ``when`` and ``seq``
-    is unique (tuple comparison never reaches the third element), the
-    pop order is exactly the global ``(when, seq)`` heap order — the
-    wheel is a drop-in replacement, not an approximation.
-
-    A bounded ``run(until=...)`` may return with the active bucket
-    half-consumed; a later ``post_at`` can then file an entry into an
-    *earlier* bucket than the active one.  ``_head`` detects that
-    (``keys[0] < cur_key``), re-files the active remainder, and
-    re-activates from the key heap, so cross-run pushes stay ordered.
-    """
-
-    __slots__ = ("width", "buckets", "keys", "cur", "idx", "extra",
-                 "cur_key")
-
-    def __init__(self, entries: List[Tuple], now: float):
-        times = sorted(entry[0] for entry in entries)
-        if times:
-            # Robust span: ignore the farthest 10% so a handful of
-            # far-future watchdogs cannot inflate the bucket width
-            # until every near-term event collapses into one bucket.
-            span = times[(9 * len(times)) // 10] - times[0]
-        else:
-            span = 0.0
-        width = span / max(len(entries) / _WHEEL_PER_BUCKET, 1.0)
-        self.width = width if width > 0.0 else 1.0
-        self.buckets: Dict[int, List[Tuple]] = {}
-        self.keys: List[int] = []
-        self.cur: List[Optional[Tuple]] = []
-        self.idx = 0
-        self.extra: List[Tuple] = []
-        self.cur_key = -1   # sentinel: times >= 0 so real keys are >= 0
-        for entry in entries:
-            self.push(entry)
-
-    def push(self, entry: Tuple) -> None:
-        key = int(entry[0] / self.width)
-        if key == self.cur_key:
-            heapq.heappush(self.extra, entry)
-            return
-        bucket = self.buckets.get(key)
-        if bucket is None:
-            self.buckets[key] = [entry]
-            heapq.heappush(self.keys, key)
-        else:
-            bucket.append(entry)
-
-    def _activate(self) -> None:
-        key = heapq.heappop(self.keys)
-        bucket = self.buckets.pop(key)
-        bucket.sort()
-        self.cur = bucket
-        self.idx = 0
-        self.cur_key = key
-
-    def _demote(self) -> None:
-        """Re-file the active bucket's remainder; an earlier bucket
-        appeared (possible only via ``post_at`` between bounded runs)."""
-        rest = [entry for entry in self.cur[self.idx:]]
-        rest.extend(self.extra)
-        self.extra = []
-        if rest:
-            bucket = self.buckets.get(self.cur_key)
-            if bucket is None:
-                self.buckets[self.cur_key] = rest
-                heapq.heappush(self.keys, self.cur_key)
-            else:
-                bucket.extend(rest)
-        self.cur = []
-        self.idx = 0
-        self.cur_key = -1
-
-    def _head(self) -> Optional[Tuple]:
-        """Earliest entry without removing it (tombstones included)."""
-        while True:
-            if self.keys and self.keys[0] < self.cur_key:
-                self._demote()
-                continue
-            if self.idx < len(self.cur):
-                cur_head = self.cur[self.idx]
-                if self.extra and self.extra[0] < cur_head:
-                    return self.extra[0]
-                return cur_head
-            if self.extra:
-                return self.extra[0]
-            if not self.keys:
-                return None
-            self._activate()
-
-    def peek(self) -> Optional[float]:
-        """Earliest queued timestamp (tombstones included), or None."""
-        entry = self._head()
-        return entry[0] if entry is not None else None
-
-    def pop(self) -> Tuple:
-        """Remove and return the earliest entry (callers peek first)."""
-        entry = self._head()
-        if entry is None:
-            raise IndexError("pop from an empty event wheel")
-        if self.idx < len(self.cur) and self.cur[self.idx] is entry:
-            self.cur[self.idx] = None
-            self.idx += 1
-            return entry
-        return heapq.heappop(self.extra)
-
-    def compact(self) -> None:
-        """Drop cancelled tombstones from every bucket, in place."""
-        def live(entries: List[Tuple]) -> List[Tuple]:
-            return [entry for entry in entries
-                    if len(entry) == 4 or not entry[2].cancelled]
-
-        self.cur = live(self.cur[self.idx:])   # suffix stays sorted
-        self.idx = 0
-        self.extra = live(self.extra)
-        heapq.heapify(self.extra)
-        buckets: Dict[int, List[Tuple]] = {}
-        for key, entries in self.buckets.items():
-            kept = live(entries)
-            if kept:
-                buckets[key] = kept
-        self.buckets = buckets
-        self.keys = list(buckets)
-        heapq.heapify(self.keys)
 
 
 class Simulator:
@@ -227,31 +55,15 @@ class Simulator:
     >>> sim.run()
     >>> fired
     ['b', 'a']
-
-    ``pooling=True`` enables the :class:`EventHandle` free list.  It is
-    off by default: the refcount guard + pool bookkeeping loses to fresh
-    allocation on chain-shaped ``call_in`` workloads (see the pooled vs
-    unpooled rows in BENCH_sweep.json and docs/PERFORMANCE.md).
-
-    ``queue`` selects the event-queue strategy: ``"auto"`` (default)
-    starts on the binary heap and upgrades one-way to the calendar
-    wheel once :data:`_WHEEL_THRESHOLD` events are live; ``"heap"``
-    pins the heap (used by benchmarks to price the wheel).
     """
 
-    def __init__(self, pooling: bool = False, queue: str = "auto") -> None:
-        if queue not in ("auto", "heap"):
-            raise SimulationError(f"unknown queue mode: {queue!r}")
+    def __init__(self) -> None:
         self._now: float = 0.0
         self._heap: List[Tuple] = []
-        self._wheel: Optional[_EventWheel] = None
-        self._auto = queue == "auto"
         self._seq: int = 0
         self._running = False
         self._live: int = 0      # scheduled, not yet fired or cancelled
-        self._dead: int = 0      # cancelled tombstones still in the queue
-        self._pool: List["EventHandle"] = []
-        self._pooling = pooling
+        self._dead: int = 0      # cancelled tombstones still in the heap
         #: observability hooks, set by repro.obs.TracePlane.  Components
         #: check these per event and do nothing while they are None, so
         #: an uninstrumented run costs one attribute read per check.
@@ -290,13 +102,7 @@ class Simulator:
             )
         self._seq += 1
         self._live += 1
-        wheel = self._wheel
-        if wheel is not None:
-            wheel.push((when, self._seq, fn, args))
-        else:
-            heapq.heappush(self._heap, (when, self._seq, fn, args))
-            if self._live > _WHEEL_THRESHOLD and self._auto:
-                self._upgrade()
+        heapq.heappush(self._heap, (when, self._seq, fn, args))
         chk = self.checker
         if chk is not None:
             chk.on_schedule(when, self._seq, fn)
@@ -314,26 +120,11 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule into the past: {when} < now {self._now}"
             )
-        pool = self._pool
-        if pool:
-            handle = pool.pop()
-            handle.when = when
-            handle._fn = fn
-            handle._args = args
-            handle.cancelled = False
-            handle.fired = False
-        else:
-            handle = EventHandle(when, fn, args)
-            handle._sim = self
+        handle = EventHandle(when, fn, args)
+        handle._sim = self
         self._seq += 1
         self._live += 1
-        wheel = self._wheel
-        if wheel is not None:
-            wheel.push((when, self._seq, handle))
-        else:
-            heapq.heappush(self._heap, (when, self._seq, handle))
-            if self._live > _WHEEL_THRESHOLD and self._auto:
-                self._upgrade()
+        heapq.heappush(self._heap, (when, self._seq, handle))
         chk = self.checker
         if chk is not None:
             chk.on_schedule(when, self._seq, fn)
@@ -345,19 +136,6 @@ class Simulator:
             raise SimulationError(f"negative delay: {delay}")
         return self.call_at(self._now + delay, fn, *args)
 
-    def _upgrade(self) -> None:
-        """One-way switch from the binary heap to the calendar wheel.
-
-        Entries move verbatim; the wheel pops in (when, seq) order, so
-        the switch is invisible to the event schedule (same callbacks,
-        same timestamps, same digests).  The heap list is emptied *in
-        place*: the run loop's local alias drains and falls through to
-        the wheel loop on its next dispatch.
-        """
-        entries = self._heap[:]
-        del self._heap[:]
-        self._wheel = _EventWheel(entries, self._now)
-
     def next_event_time(self) -> Optional[float]:
         """Timestamp of the earliest queued entry, or None when empty.
 
@@ -365,9 +143,6 @@ class Simulator:
         lower bound on the next *live* event, which is exactly what the
         shard executor's lookahead computation needs.
         """
-        wheel = self._wheel
-        if wheel is not None:
-            return wheel.peek()
         heap = self._heap
         return heap[0][0] if heap else None
 
@@ -382,16 +157,36 @@ class Simulator:
             raise SimulationError("run() is not reentrant")
         self._running = True
         bounded = until is not None
+        # _compact() mutates self._heap in place, so this alias stays
+        # valid across a compaction triggered from inside a callback.
+        heap = self._heap
+        pop = heapq.heappop
         try:
-            while True:
-                if self._wheel is None:
-                    if self._drain_heap(until, bounded):
-                        break
-                    # a callback crossed the wheel threshold: the heap
-                    # was emptied in place, continue on the wheel
-                    continue
-                self._drain_wheel(until, bounded)
-                break
+            while heap:
+                if bounded and heap[0][0] > until:
+                    break
+                item = pop(heap)
+                if len(item) == 4:          # post(): (when, seq, fn, args)
+                    when, seq, fn, args = item
+                else:                       # call_at(): (when, seq, handle)
+                    when, seq, handle = item
+                    if handle.cancelled:
+                        self._dead -= 1
+                        handle._fn = None
+                        handle._args = ()
+                        continue
+                    handle.fired = True
+                    fn = handle._fn
+                    args = handle._args
+                self._now = when
+                self._live -= 1
+                fn(*args)
+                chk = self.checker
+                if chk is not None:
+                    chk.after_step(when, seq, fn)
+                pl = self.pulse
+                if pl is not None:
+                    pl.after_step(when)
             if bounded and until > self._now:
                 self._now = until
                 pl = self.pulse
@@ -401,200 +196,23 @@ class Simulator:
             self._running = False
         return self._now
 
-    def _drain_heap(self, until: Optional[float], bounded: bool) -> bool:
-        """Heap-mode run loop.  Returns True when done (queue empty or
-        time bound reached), False when an upgrade emptied the heap and
-        the dispatcher should continue on the wheel."""
-        # _compact() mutates self._heap in place, so these aliases stay
-        # valid across a compaction triggered from inside a callback.
-        heap = self._heap
-        pool = self._pool
-        pooling = self._pooling
-        pop = heapq.heappop
-        getrefcount = sys.getrefcount
-        while heap:
-            if bounded and heap[0][0] > until:
-                return True
-            item = pop(heap)
-            if len(item) == 4:          # raw post(): (when, seq, fn, args)
-                self._now = item[0]
-                self._live -= 1
-                item[2](*item[3])
-                chk = self.checker
-                if chk is not None:
-                    chk.after_step(item[0], item[1], item[2])
-                pl = self.pulse
-                if pl is not None:
-                    pl.after_step(self._now)
-                continue
-            handle = item[2]
-            if handle.cancelled:
-                self._dead -= 1
-                handle._fn = None
-                handle._args = ()
-                continue
-            self._now = item[0]
-            seq = item[1]
-            item = None     # drop the tuple's handle ref for the
-            self._live -= 1  # refcount check below
-            handle.fired = True
-            handle._fn(*handle._args)
-            # The checker sees the bound fn, never the handle: an
-            # extra handle reference would defeat the refcount guard.
-            chk = self.checker
-            if chk is not None:
-                chk.after_step(self._now, seq, handle._fn)
-            pl = self.pulse
-            if pl is not None:
-                pl.after_step(self._now)
-            # Recycle only when the loop holds the sole reference
-            # (local var + getrefcount argument == 2): a handle the
-            # caller kept must never be reused for a new event.
-            if pooling and getrefcount(handle) == 2 and len(pool) < _POOL_CAP:
-                handle._fn = None
-                handle._args = ()
-                pool.append(handle)
-        return self._wheel is None
-
-    def _drain_wheel(self, until: Optional[float], bounded: bool) -> None:
-        """Wheel-mode run loop; same event semantics as the heap loop."""
-        wheel = self._wheel
-        pool = self._pool
-        pooling = self._pooling
-        getrefcount = sys.getrefcount
-        peek = wheel.peek
-        pop = wheel.pop
-        while True:
-            head = peek()
-            if head is None:
-                return
-            if bounded and head > until:
-                return
-            item = pop()
-            if len(item) == 4:          # raw post(): (when, seq, fn, args)
-                self._now = item[0]
-                self._live -= 1
-                item[2](*item[3])
-                chk = self.checker
-                if chk is not None:
-                    chk.after_step(item[0], item[1], item[2])
-                pl = self.pulse
-                if pl is not None:
-                    pl.after_step(self._now)
-                continue
-            handle = item[2]
-            if handle.cancelled:
-                self._dead -= 1
-                handle._fn = None
-                handle._args = ()
-                continue
-            self._now = item[0]
-            seq = item[1]
-            item = None     # drop the tuple's handle ref for the
-            self._live -= 1  # refcount check below
-            handle.fired = True
-            handle._fn(*handle._args)
-            chk = self.checker
-            if chk is not None:
-                chk.after_step(self._now, seq, handle._fn)
-            pl = self.pulse
-            if pl is not None:
-                pl.after_step(self._now)
-            if pooling and getrefcount(handle) == 2 and len(pool) < _POOL_CAP:
-                handle._fn = None
-                handle._args = ()
-                pool.append(handle)
-
-    def step(self) -> bool:
-        """Execute a single event.  Returns False when nothing is pending."""
-        if self._wheel is not None:
-            return self._step_wheel()
-        while self._heap:
-            item = heapq.heappop(self._heap)
-            if len(item) == 4:
-                self._now = item[0]
-                self._live -= 1
-                item[2](*item[3])
-                chk = self.checker
-                if chk is not None:
-                    chk.after_step(item[0], item[1], item[2])
-                pl = self.pulse
-                if pl is not None:
-                    pl.after_step(self._now)
-                return True
-            handle = item[2]
-            if handle.cancelled:
-                self._dead -= 1
-                continue
-            self._now = item[0]
-            self._live -= 1
-            handle.fire()
-            chk = self.checker
-            if chk is not None:
-                chk.after_step(item[0], item[1], handle._fn)
-            pl = self.pulse
-            if pl is not None:
-                pl.after_step(self._now)
-            return True
-        return False
-
-    def _step_wheel(self) -> bool:
-        """Single-event execution on the calendar wheel."""
-        wheel = self._wheel
-        while wheel.peek() is not None:
-            item = wheel.pop()
-            if len(item) == 4:
-                self._now = item[0]
-                self._live -= 1
-                item[2](*item[3])
-                chk = self.checker
-                if chk is not None:
-                    chk.after_step(item[0], item[1], item[2])
-                pl = self.pulse
-                if pl is not None:
-                    pl.after_step(self._now)
-                return True
-            handle = item[2]
-            if handle.cancelled:
-                self._dead -= 1
-                continue
-            self._now = item[0]
-            self._live -= 1
-            handle.fire()
-            chk = self.checker
-            if chk is not None:
-                chk.after_step(item[0], item[1], handle._fn)
-            pl = self.pulse
-            if pl is not None:
-                pl.after_step(self._now)
-            return True
-        return False
-
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued.  O(1)."""
         return self._live
 
     # -- lazy-cancel bookkeeping ---------------------------------------
     def _note_cancel(self) -> None:
-        """Called by :meth:`EventHandle.cancel`; maybe compact the queue."""
+        """Called by :meth:`EventHandle.cancel`; maybe compact the heap."""
         self._live -= 1
         self._dead += 1
-        if self._dead < _COMPACT_MIN_DEAD:
-            return
-        total = (self._live + self._dead if self._wheel is not None
-                 else len(self._heap))
-        if self._dead * 2 > total:
+        if self._dead >= _COMPACT_MIN_DEAD and self._dead * 2 > len(self._heap):
             self._compact()
 
     def _compact(self) -> None:
-        """Drop cancelled tombstones and re-heapify/re-file, in place."""
-        wheel = self._wheel
-        if wheel is not None:
-            wheel.compact()
-        else:
-            self._heap[:] = [entry for entry in self._heap
-                             if len(entry) == 4 or not entry[2].cancelled]
-            heapq.heapify(self._heap)
+        """Drop cancelled tombstones and re-heapify, in place."""
+        self._heap[:] = [entry for entry in self._heap
+                         if len(entry) == 4 or not entry[2].cancelled]
+        heapq.heapify(self._heap)
         self._dead = 0
 
 
@@ -618,11 +236,6 @@ class EventHandle:
         sim = self._sim
         if sim is not None:
             sim._note_cancel()
-
-    def fire(self) -> None:
-        if not self.cancelled:
-            self.fired = True
-            self._fn(*self._args)
 
     def __lt__(self, other: "EventHandle") -> bool:  # heap tiebreak safety
         return id(self) < id(other)

@@ -1,5 +1,9 @@
 """Chaos harness acceptance tests: zero loss + deterministic replay."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.experiments.chaos_study import (
@@ -71,3 +75,19 @@ def test_rta_chaos_survives_core_and_actor_faults():
     assert report.faults_injected.get("actor_crash", 0) == 1
     restarts = sum(s.restarts for s in report.recovery.values())
     assert restarts >= 1
+
+
+def test_dt_chaos_is_identical_across_hash_seeds():
+    """DT partitions keys and fans out aborts without ``hash()`` or set
+    iteration, so the run cannot depend on ``PYTHONHASHSEED``."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    code = ("from repro.exec.grids import chaos_point\n"
+            "print(repr(chaos_point('dt', seed=42, duration_us=4000.0)))\n")
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        outputs.append(proc.stdout)
+    assert outputs[0] and outputs[0] == outputs[1]

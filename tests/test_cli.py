@@ -176,3 +176,16 @@ def test_bench_check_help_states_exit_codes(capsys):
         main(["bench", "--help"])
     out = " ".join(capsys.readouterr().out.split())   # undo help wrapping
     assert "Exit code 0" in out and "Exit code 1" in out
+
+
+def test_check_goldens_skips_on_another_python(capsys, tmp_path):
+    path = tmp_path / "goldens.json"
+    path.write_text(json.dumps({"python": "2.7", "targets": {}}))
+    assert main(["check", "--goldens", str(path)]) == 0
+    assert "SKIPPED" in capsys.readouterr().out
+
+
+def test_check_update_needs_goldens(capsys):
+    with pytest.raises(SystemExit):
+        main(["check", "--update"])
+    assert "--update needs --goldens" in capsys.readouterr().err

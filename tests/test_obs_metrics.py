@@ -10,6 +10,7 @@ from repro.sim import Rng, percentile as exact_percentile
 class _Sim:
     def __init__(self):
         self.now = 0.0
+        self.tracer = self.metrics = self.checker = self.pulse = None
 
 
 # -- bucket lattice -----------------------------------------------------------

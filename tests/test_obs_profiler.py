@@ -18,6 +18,7 @@ from repro.obs.profiler import STAGE_ORDER
 
 class _Sim:
     now = 0.0
+    tracer = metrics = checker = pulse = None
 
 
 def _sample_spans():

@@ -159,6 +159,7 @@ def test_tracing_does_not_perturb_replay():
 def test_tracer_bounds_span_retention():
     class _Sim:
         now = 0.0
+        tracer = metrics = checker = pulse = None
 
     tracer = Tracer(_Sim(), max_spans=10)
     for i in range(25):
@@ -172,10 +173,11 @@ def test_tracer_bounds_span_retention():
 def test_traceplane_disabled_installs_nothing():
     class _Sim:
         now = 0.0
+        tracer = metrics = checker = pulse = None
 
     sim = _Sim()
     plane = TracePlane(sim, enabled=False)
-    assert getattr(sim, "tracer", None) is None
+    assert sim.tracer is None
     assert plane.spans == ()
     assert plane.stage_breakdown() == {}
     assert plane.metrics_snapshot() == {}

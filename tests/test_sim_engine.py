@@ -107,17 +107,6 @@ def test_pending_counts_live_events():
     assert sim.pending() == 1
 
 
-def test_step_executes_one_event():
-    sim = Simulator()
-    fired = []
-    sim.call_at(1.0, fired.append, 1)
-    sim.call_at(2.0, fired.append, 2)
-    assert sim.step()
-    assert fired == [1]
-    assert sim.step()
-    assert not sim.step()
-
-
 # -- fast path: post / post_at ----------------------------------------------
 
 def test_post_fires_in_time_order_with_args():
@@ -172,6 +161,21 @@ def test_run_until_stops_before_posted_event():
     assert fired == ["x"]
 
 
+def test_next_event_time_and_bounded_run():
+    sim = Simulator()
+    assert sim.next_event_time() is None
+    for i in range(8):
+        sim.post_at(50.0 + i, lambda: None)
+    sim.post_at(7.25, lambda: None)
+    assert sim.next_event_time() == 7.25
+    sim.run(until=5.0)
+    assert sim.now == 5.0
+    assert sim.next_event_time() == 7.25
+    # a cancelled tombstone still counts: a conservative lower bound
+    sim.call_at(6.0, lambda: None).cancel()
+    assert sim.next_event_time() == 6.0
+
+
 # -- pending() counter bookkeeping ------------------------------------------
 
 def test_pending_is_consistent_through_cancel_and_run():
@@ -200,7 +204,7 @@ def test_double_cancel_counts_once():
 def test_cancel_after_fire_is_a_noop():
     sim = Simulator()
     handle = sim.call_at(1.0, lambda: None)
-    keep = handle            # keep a reference so the pool can't recycle it
+    keep = handle
     sim.call_at(2.0, lambda: None)
     sim.run()
     assert keep.fired
@@ -265,35 +269,15 @@ def test_compaction_inside_run_keeps_loop_alive():
     assert fired == ["after"]
 
 
-# -- handle pooling ----------------------------------------------------------
+# -- handle identity ---------------------------------------------------------
 
 def test_retained_handle_is_never_recycled():
     sim = Simulator()
     kept = sim.call_at(1.0, lambda: None)
-    sim.call_at(2.0, lambda: None)   # discarded: eligible for the pool
+    sim.call_at(2.0, lambda: None)   # discarded by the caller
     sim.run()
     assert kept.fired
     # schedule many more events; none may alias the retained handle
     fresh = [sim.call_at(10.0 + i, lambda: None) for i in range(8)]
     assert all(h is not kept for h in fresh)
     assert kept.fired        # untouched by later scheduling
-
-
-def test_pool_reuses_discarded_handles():
-    sim = Simulator(pooling=True)
-    for i in range(100):
-        sim.call_at(float(i), lambda: None)
-    sim.run()
-    assert len(sim._pool) > 0
-    pooled = sim._pool[-1]
-    handle = sim.call_at(200.0, lambda: None)
-    assert handle is pooled          # recycled, not allocated
-    assert not handle.fired and not handle.cancelled
-
-
-def test_pooling_disabled_allocates_fresh_handles():
-    sim = Simulator(pooling=False)
-    for i in range(10):
-        sim.call_at(float(i), lambda: None)
-    sim.run()
-    assert sim._pool == []
