@@ -33,7 +33,7 @@ class PaxosMessage:
     first_unchosen: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class LogEntry:
     promised: Tuple[int, str] = (0, "")
     accepted_ballot: Optional[Tuple[int, str]] = None

@@ -26,7 +26,8 @@ from ..nic.calibration import dpdk_recv_us, dpdk_send_us
 from ..net import Network, Packet
 from ..nic.accelerators import AcceleratorBank
 from ..nic.dma import DmaEngine
-from ..sim import Simulator, Store, Timeout, UtilizationTracker, spawn
+from ..core.runtime import HOST_POLL_US
+from ..sim import Doorbell, Simulator, Store, Timeout, UtilizationTracker, spawn
 
 
 class DpdkRuntime:
@@ -54,6 +55,8 @@ class DpdkRuntime:
         #: latency to/from host memory (descriptor + payload write)
         self._dma = DmaEngine(sim)
         self.rx_queue: Store = Store(sim)
+        #: idle poll-mode workers park here until a packet is queued
+        self._rx_bell = Doorbell(sim, HOST_POLL_US, self._rx_poll_at)
         self.host_util: List[UtilizationTracker] = [
             UtilizationTracker() for _ in range(workers)]
         self.host_ops = 0
@@ -82,6 +85,7 @@ class DpdkRuntime:
 
     def stop(self) -> None:
         self._running = False
+        self._rx_bell.ring()
 
     def on_packet(self, packet: Packet) -> None:
         target = self.dispatch_table.get(packet.kind)
@@ -100,12 +104,12 @@ class DpdkRuntime:
         pipeline = max(dpdk_recv_us(packet.size)
                        - self.stack.rx_cost(packet.size), 0.0)
         self.sim.post(self._dma.write_latency_us(packet.size) + pipeline,
-                         self.rx_queue.put_nowait, msg)
+                         self._rx_enqueue, msg)
 
     def route_local(self, msg: Message, origin: Location) -> None:
         msg.meta["nic_arrival"] = self.sim.now
         msg.meta["local"] = True           # no RX stack cost for local sends
-        self.rx_queue.put_nowait(msg)
+        self._rx_enqueue(msg)
 
     def transmit_from(self, side: Location, packet: Packet) -> None:
         self._tx_pending += 1
@@ -117,11 +121,23 @@ class DpdkRuntime:
                          self._uplink.transmit, packet)
 
     # -- worker loop ---------------------------------------------------------------
+    def _rx_enqueue(self, msg: Message) -> None:
+        self.rx_queue.put_nowait(msg)
+        self._rx_bell.ring()
+
+    def _rx_poll_at(self) -> Optional[float]:
+        """Earliest time a worker's poll could succeed; None: never."""
+        if self.rx_queue.items or not self._running:
+            return self.sim.now
+        return None
+
     def _worker(self, worker_id: int):
+        """Poll-mode worker: polls the RX ring every HOST_POLL_US while
+        idle (parked on the doorbell between successful polls)."""
         while self._running:
             msg = self.rx_queue.try_get_nowait()
             if msg is None:
-                yield Timeout(0.5)
+                yield self._rx_bell
                 continue
             actor = self.actors.lookup(msg.target)
             if actor is None or not actor.schedulable:

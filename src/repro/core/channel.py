@@ -73,6 +73,9 @@ class Ring:
         self.fault_plane = None
         #: consumer frozen until this virtual time (FaultPlane ring stall)
         self.stalled_until = 0.0
+        #: consumer-side wake-up called after every produce (the host
+        #: workers' doorbell on a NIC→host ring)
+        self.on_produce: Optional[Callable[[], None]] = None
 
     # -- producer side ------------------------------------------------------
     def produce_cost_us(self, msg: Message, batch: int = 1) -> float:
@@ -120,6 +123,8 @@ class Ring:
             msg.meta["ring_t0"] = self.sim.now
         # anchor virtual time so run-to-idle passes the visibility point
         self.sim.post_at(visible_at, _noop)
+        if self.on_produce is not None:
+            self.on_produce()
 
     @property
     def full(self) -> bool:
@@ -140,6 +145,14 @@ class Ring:
         self.stalled_until = max(self.stalled_until, self.sim.now + duration_us)
         # anchor virtual time so run-to-idle passes the stall expiry
         self.sim.post_at(self.stalled_until, _noop)
+
+    def poll_at(self) -> Optional[float]:
+        """Earliest time :meth:`poll` could return the head slot: its DMA
+        visibility or the stall expiry, whichever is later.  None while
+        the ring is empty."""
+        if not self._buffer:
+            return None
+        return max(self._buffer[0][2], self.stalled_until)
 
     def poll(self) -> Optional[Message]:
         """Non-blocking consume; returns None when the ring is empty,
@@ -394,6 +407,10 @@ class ReliableChannel:
                     self.sim.now, self.sim.now - first_fail)
 
     # -- introspection --------------------------------------------------------
+    def ready(self, direction: str) -> int:
+        """Messages released in order and waiting for the next poll."""
+        return len(self._dirs[direction].ready)
+
     def pending(self, direction: str) -> int:
         """Messages not yet released in order (in flight, stashed, ready)."""
         state = self._dirs[direction]

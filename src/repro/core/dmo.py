@@ -26,7 +26,7 @@ class DmoError(Exception):
     """Illegal DMO operation (bad owner, missing object, region overflow)."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Dmo:
     """One distributed memory object (an object-table entry + its data)."""
 

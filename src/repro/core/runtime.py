@@ -28,7 +28,7 @@ from ..net import Network, Packet, line_rate_pps
 from ..nic.cores import WorkloadProfile, time_on_host, time_on_nic
 from ..nic.device import SmartNic
 from ..nic.dma import DmaEngine
-from ..sim import Simulator, Store, Timeout, UtilizationTracker, spawn
+from ..sim import Doorbell, Simulator, Store, Timeout, UtilizationTracker, spawn
 from ..sim.faults import RecoveryPolicy
 from .actor import Actor, ActorTable, Location, Message, MigrationState
 from .channel import Channel, ReliableChannel, RingFullError
@@ -177,6 +177,11 @@ class ExecutionContext:
         self.runtime.dmo.write(self.actor.name, object_id, data)
 
 
+#: Poll period of an idle host runtime thread (µs): "each runtime thread
+#: periodically polls requests from the channel" (§5.1).
+HOST_POLL_US = 0.5
+
+
 class IPipeRuntime:
     """iPipe on one server: SmartNIC runtime + host runtime + channels."""
 
@@ -219,6 +224,9 @@ class IPipeRuntime:
         channel_dma = (nic.host_channel if isinstance(nic.host_channel, DmaEngine)
                        else DmaEngine(sim))
         self._channel_dma = channel_dma
+        #: idle host workers park here until a poll could succeed; every
+        #: NIC→host produce, run-queue put and stop() rings it
+        self._host_bell = Doorbell(sim, HOST_POLL_US, self._host_poll_at)
         self.channel = Channel(sim, channel_dma, name=f"{node_name}.chan")
         #: optional sequence-numbered reliable-delivery layer (FaultPlane
         #: recovery path); None keeps the seed fire-and-forget semantics
@@ -479,9 +487,19 @@ class IPipeRuntime:
             return True
         return False
 
+    @property
+    def channel(self) -> Channel:
+        return self._channel
+
+    @channel.setter
+    def channel(self, channel: Channel) -> None:
+        self._channel = channel
+        channel.to_host.on_produce = self._host_bell.ring
+
     def stop(self) -> None:
         self._running = False
         self.nic_scheduler.stop()
+        self._host_bell.ring()
 
     # -- ingress -----------------------------------------------------------------
     def on_packet(self, packet: Packet) -> None:
@@ -575,7 +593,7 @@ class IPipeRuntime:
                 track="nic-switch", target=target, src=packet.src,
                 size=packet.size, bypass=True)
             msg.meta["trace"] = span.ctx
-        self.host_queue.put_nowait(msg)
+        self._host_enqueue(msg)
 
     def update_steering(self, actor: Actor) -> None:
         """Refresh the off-path NIC switch rules to match the actor's
@@ -652,7 +670,7 @@ class IPipeRuntime:
             return
         msg.meta["nic_arrival"] = self.sim.now
         if actor.location is Location.HOST and origin is Location.HOST:
-            self.host_queue.put_nowait(msg)
+            self._host_enqueue(msg)
         elif actor.location is Location.HOST:
             self.deliver(msg)
         elif origin is Location.HOST:
@@ -775,12 +793,25 @@ class IPipeRuntime:
         return max(headroom, 1.0)
 
     # -- host-side workers --------------------------------------------------------------
+    def _host_enqueue(self, msg: Message) -> None:
+        self.host_queue.put_nowait(msg)
+        self._host_bell.ring()
+
+    def _host_poll_at(self) -> Optional[float]:
+        """Earliest time a host worker's poll could succeed; None: never."""
+        if self.host_queue.items or not self._running:
+            return self.sim.now
+        if self.rchannel is not None and self.rchannel.ready("to_host"):
+            return self.sim.now
+        return self.channel.to_host.poll_at()
+
     def _host_worker(self, worker_id: int):
         """Host runtime thread: "each runtime thread periodically polls
         requests from the channel and performs actor execution" (§5.1).
-        The run queue takes priority; an idle worker polls the ring."""
+        The run queue takes priority; an idle worker polls the ring every
+        HOST_POLL_US, which the doorbell reproduces tick for tick without
+        simulating the empty polls."""
         while self._running:
-            busy_start = self.sim.now
             msg = self.host_queue.try_get_nowait()
             if msg is None:
                 polled = (self.rchannel.host_poll() if self.rchannel is not None
@@ -791,7 +822,7 @@ class IPipeRuntime:
                     self.host_util[worker_id].add_busy(rx)
                     self.host_queue.put_nowait(polled)
                     continue
-                yield Timeout(0.5)
+                yield self._host_bell
                 continue
             actor = self.actors.lookup(msg.target)
             if actor is None:

@@ -14,12 +14,14 @@ can be *load*-driven, not only outage-driven.
 Zero virtual-time cost
 ----------------------
 
-The engine calls ``sim.pulse.after_step(now)`` after every fired event
-(one attribute read when no plane is installed, exactly like
-``sim.tracer``/``sim.metrics``/``sim.checker``).  The sampler is *lazy*:
-it takes one sample when virtual time first crosses a period boundary,
-stamps it at the boundary, and jumps the lattice forward over idle gaps
-in one step (the same idiom as ``Histogram._rotate``).  Crucially it
+The engine samples on a fixed virtual-time lattice: before it fires the
+first event later than a period boundary, it moves the clock to that
+boundary and calls :meth:`PulsePlane.sample` — once for every boundary
+crossed, so an idle gap of *k* periods yields *k* samples, each seeing
+the state as of its boundary.  A bounded ``run(until)`` also samples
+the boundaries up to ``until`` before it returns.  No attribute beyond
+``sim.pulse`` is read when no plane is installed, exactly like
+``sim.tracer``/``sim.metrics``/``sim.checker``.  Crucially the sampler
 **schedules nothing** — a sampled run fires the exact same event
 sequence as an unsampled one, which the determinism sanitizer's step
 digests prove and the :class:`~repro.check.monitors.PulseMonitor`
@@ -285,7 +287,8 @@ class PulsePlane:
         self._probes: List[Tuple[str, Callable[[float], float]]] = []
         self._evaluators: List[object] = []
         self._feeds: List[object] = []
-        self._next = self.period_us
+        #: the next lattice boundary to sample (read by the run loop)
+        self.next_us = self.period_us * (sim.now // self.period_us + 1)
         self.samples = 0
         self.first_sample_us: Optional[float] = None
         self.last_sample_us: Optional[float] = None
@@ -377,19 +380,13 @@ class PulsePlane:
                 service_quantile_probe(self.sim.metrics, metric, pct))
 
     # -- engine hook ------------------------------------------------------
-    def after_step(self, now: float) -> None:
-        """Called by the run loop after every fired event."""
-        nxt = self._next
-        if now < nxt:
-            return
-        period = self.period_us
-        # sample once at the most recent boundary <= now; idle gaps jump
-        # the lattice forward in one step (no per-period loop)
-        boundary = nxt + int((now - nxt) // period) * period
-        self._sample(boundary)
-        self._next = boundary + period
+    def sample(self) -> None:
+        """Sample at boundary ``next_us`` and advance to the next one.
 
-    def _sample(self, t: float) -> None:
+        The run loop calls this with the clock at the boundary, after
+        every event at or before it and before any event past it."""
+        t = self.next_us
+        self.next_us = t + self.period_us
         sim = self.sim
         seq0 = sim._seq
         for name, fn in self._probes:

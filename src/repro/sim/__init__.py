@@ -2,6 +2,7 @@
 
 from .engine import MICROSECOND, MILLISECOND, SECOND, EventHandle, SimulationError, Simulator
 from .process import Process, Signal, Timeout, all_of, spawn
+from .doorbell import Doorbell
 from .resources import Resource, Store
 from .distributions import Rng, ZipfGenerator, percentile, rng_draw_count
 from .faults import FaultKind, FaultPlane, FaultSnapshot, FaultSpec, RecoveryPolicy
@@ -17,6 +18,7 @@ __all__ = [
     "Process",
     "Signal",
     "Timeout",
+    "Doorbell",
     "all_of",
     "spawn",
     "Resource",

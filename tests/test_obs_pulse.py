@@ -111,23 +111,31 @@ def test_counter_rate_probe_differences_a_cumulative_counter():
 
 # -- the lazy sampler ---------------------------------------------------------
 
-def test_sampler_stamps_boundaries_and_jumps_idle_gaps():
+def test_sampler_samples_every_boundary_with_state_as_of_it():
     sim = Simulator()
     pulse = PulsePlane(sim, period_us=100.0)
-    pulse.add_probe("const", lambda t: 7.0)
+    state = {"v": 0.0}
+    pulse.add_probe("v", lambda t: state["v"])
+    pulse.add_probe("clock", lambda t: sim.now)
 
     def driver():
-        yield Timeout(50.0)            # before the first boundary
-        yield Timeout(200.0)           # t=250: one sample, stamped @200
-        yield Timeout(750.0)           # t=1000: gap jumped in one step
+        yield Timeout(100.0)           # t=100: on a boundary, counted in it
+        state["v"] = 1.0
+        yield Timeout(150.0)           # t=250: boundary 200 sampled before
+        state["v"] = 2.0
+        yield Timeout(50.0)            # t=300
+        state["v"] = 3.0
 
     spawn(sim, driver(), name="driver")
-    sim.run()
-    assert pulse.samples == 2
-    assert pulse.store.get("const").points() == [(200.0, 7.0),
-                                                 (1000.0, 7.0)]
-    assert pulse.first_sample_us == 200.0
-    assert pulse.last_sample_us == 1000.0
+    sim.run(until=450.0)               # idle tail: 400 still sampled
+    assert pulse.samples == 4
+    assert pulse.store.get("v").points() == [
+        (100.0, 1.0), (200.0, 1.0), (300.0, 3.0), (400.0, 3.0)]
+    # the clock stands at the boundary while a sample is taken
+    assert pulse.store.get("clock").values() == [100.0, 200.0, 300.0, 400.0]
+    assert sim.now == 450.0
+    assert pulse.first_sample_us == 100.0
+    assert pulse.last_sample_us == 400.0
     assert pulse.passive_schedules == 0
 
 

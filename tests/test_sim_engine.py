@@ -281,3 +281,56 @@ def test_retained_handle_is_never_recycled():
     fresh = [sim.call_at(10.0 + i, lambda: None) for i in range(8)]
     assert all(h is not kept for h in fresh)
     assert kept.fired        # untouched by later scheduling
+
+
+# -- keyed scheduling --------------------------------------------------------
+
+def test_keyed_events_sort_where_their_key_says():
+    sim = Simulator()
+    sim.keep_history()
+    fired = []
+    sim.post_at(5.0, fired.append, "a")
+    a_seq = sim.seq_before(0.0, float("inf"))   # the number "a" was posted as
+    reserved = sim.reserve_seq()                 # where a post here would sort
+    sim.post_at(5.0, fired.append, "b")
+    sim.call_keyed(5.0, a_seq + 0.5, 0, fired.append, "after a")
+    sim.call_keyed(5.0, reserved, 0, fired.append, "reserved")
+    sim.call_keyed(5.0, -1, 0, fired.append, "first")
+    sim.run()
+    assert fired == ["first", "a", "after a", "reserved", "b"]
+
+
+def test_seq_before_reads_the_counter_at_a_place_in_firing_order():
+    sim = Simulator()
+    sim.keep_history()
+    seen = {}
+
+    def note(tag):
+        seen[tag] = sim.firing_seq
+        sim.post(1.0, lambda: None)              # posts one number
+
+    sim.post_at(1.0, note, "x")
+    sim.post_at(1.0, note, "y")
+    sim.post_at(3.0, lambda: None)
+    sim.run(until=2.0)
+    x, y = seen["x"], seen["y"]
+    # before x fired only the three setup posts existed; x then posted one
+    assert sim.seq_before(1.0, x - 0.5) == 3
+    assert sim.seq_before(1.0, x + 0.5) == 4
+    assert sim.seq_before(1.0) == 5 == sim.seq_before(1.5)
+    assert sim.fired_at(1.0) and not sim.fired_at(0.5)
+    assert y == x + 1
+
+
+def test_call_resolved_takes_its_key_when_it_first_pops():
+    sim = Simulator()
+    sim.keep_history()
+    fired = []
+    sim.post_at(2.0, fired.append, "early post")
+    # ordered as if posted before the event at 1.0, which lies ahead
+    handle = sim.call_resolved(2.0, lambda: sim.seq_before(0.5) + 0.5, 0,
+                               fired.append, "resolved")
+    sim.post_at(1.0, lambda: sim.post_at(2.0, fired.append, "late post"))
+    sim.run()
+    assert fired == ["early post", "resolved", "late post"]
+    assert handle.fired
