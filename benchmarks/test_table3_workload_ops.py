@@ -136,3 +136,12 @@ def test_bench_chain_replication_write(benchmark):
 def test_bench_regex_filter(benchmark):
     regex = Regex("#[a-z]+")
     benchmark(lambda: regex.search("look at this #hashtag in the stream"))
+
+
+def test_bench_regex_filter_long_miss(benchmark):
+    # a 512-char tuple that never matches: one DFA pass over the text,
+    # where the old NFA walk restarted at each of its 513 offsets
+    regex = Regex("#[a-z]+")
+    text = ("no tags in this stream tuple, " * 18)[:512]
+    assert len(text) == 512 and not regex.search(text)
+    benchmark(lambda: regex.search(text))

@@ -1,29 +1,27 @@
 """Pattern-matching filter (§4, per Russ Cox's regexp articles [15]).
 
 A Thompson-construction NFA regex engine supporting the subset the
-FlexStorm filter needs: literals, ``.``, character classes ``[abc]`` /
-``[a-z]``, alternation ``|``, grouping ``(...)`` and the ``* + ?``
-quantifiers.  Simulation of the NFA is the classic lock-step set-of-states
-walk — linear time, no backtracking blowup — which is why it suits a
-wimpy NIC core.
+FlexStorm filter needs: literals, ``\\`` escapes, ``.``, character classes
+``[abc]`` / ``[a-z]`` / ``[^...]``, alternation ``|``, grouping ``(...)``
+and the ``* + ?`` quantifiers.  ``search`` runs the NFA as a lazily built
+DFA: each DFA state is the ε-closure of an NFA state set, numbered when
+first reached, and each (state, char) transition is built once and then
+cached.  Re-adding the NFA start state at every step makes the search
+unanchored, so a text is one pass of dict lookups — no backtracking and
+no restart per offset — which is why it suits a wimpy NIC core.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 EPSILON = None
 
 
 class _State:
-    _ids = 0
-
     def __init__(self):
-        _State._ids += 1
-        self.state_id = _State._ids
         #: list of (predicate, next_state); predicate None = epsilon
         self.edges: List[Tuple[Optional[object], "_State"]] = []
-        self.accepting = False
 
 
 class _Fragment:
@@ -170,11 +168,17 @@ class Regex:
     def __init__(self, pattern: str):
         self.pattern = pattern
         frag = _Parser(pattern).parse()
-        accept = _State()
-        accept.accepting = True
+        self._accept = _State()
         for out in frag.outs:
-            out.edges.append((EPSILON, accept))
+            out.edges.append((EPSILON, self._accept))
         self.start = frag.start
+        start = self._closure({self.start})
+        #: indexed by DFA state id (0 is the start): NFA state set, accepts?
+        self._sets: List[FrozenSet[_State]] = [start]
+        self._accepting: List[bool] = [self._accept in start]
+        self._dfa_ids: Dict[FrozenSet[_State], int] = {start: 0}
+        #: cached transitions, (DFA state id, char) -> DFA state id
+        self._next: Dict[Tuple[int, str], int] = {}
 
     @staticmethod
     def _closure(states: Set[_State]) -> FrozenSet[_State]:
@@ -188,29 +192,36 @@ class Regex:
                     stack.append(nxt)
         return frozenset(seen)
 
-    def match_here(self, text: str) -> bool:
-        """Anchored match: does a prefix of ``text`` match the pattern?"""
-        current = self._closure({self.start})
-        if any(s.accepting for s in current):
-            return True
-        for ch in text:
-            nxt: Set[_State] = set()
-            for state in current:
-                for predicate, target in state.edges:
-                    if predicate is not EPSILON and predicate(ch):
-                        nxt.add(target)
-            if not nxt:
-                return False
-            current = self._closure(nxt)
-            if any(s.accepting for s in current):
-                return True
-        return False
+    def _build(self, dfa_id: int, ch: str) -> int:
+        """Build and cache the transition out of ``dfa_id`` on ``ch``."""
+        moved = {self.start}  # a match may also begin after ``ch``
+        for state in self._sets[dfa_id]:
+            for predicate, target in state.edges:
+                if predicate is not EPSILON and predicate(ch):
+                    moved.add(target)
+        states = self._closure(moved)
+        target_id = self._dfa_ids.get(states)
+        if target_id is None:
+            target_id = self._dfa_ids[states] = len(self._sets)
+            self._sets.append(states)
+            self._accepting.append(self._accept in states)
+        self._next[dfa_id, ch] = target_id
+        return target_id
 
     def search(self, text: str) -> bool:
         """Unanchored match anywhere in the text."""
-        for start in range(len(text) + 1):
-            if self.match_here(text[start:]):
+        accepting = self._accepting
+        if accepting[0]:
+            return True
+        transitions = self._next
+        dfa_id = 0
+        for ch in text:
+            nxt = transitions.get((dfa_id, ch))
+            if nxt is None:
+                nxt = self._build(dfa_id, ch)
+            if accepting[nxt]:
                 return True
+            dfa_id = nxt
         return False
 
 

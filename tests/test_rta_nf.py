@@ -51,9 +51,16 @@ def test_regex_rejects_malformed():
 
 
 def test_regex_no_backtracking_blowup():
-    # classic pathological case for backtrackers: linear here
-    pattern = "a?" * 15 + "a" * 15
-    assert Regex(pattern).search("a" * 15)
+    # classic pathological case for backtrackers: the lazy DFA builds each
+    # (state, char) transition at most once, however long the text
+    regex = Regex("a?" * 15 + "a" * 15)
+    text = ("a" * 14 + "b") * 1334  # 20,010 chars, never 15 a's in a row
+    assert not regex.search(text)
+    built = len(regex._next)
+    assert built <= len(regex._sets) * len(set(text))
+    assert not regex.search(text)
+    assert len(regex._next) == built
+    assert regex.search("a" * 15)
 
 
 def test_pattern_filter_counts():
